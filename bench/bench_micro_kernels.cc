@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of RAIZN's hot CPU kernels: XOR
- * parity, partial-parity delta computation, metadata entry
- * encode/decode, latency histogram insertion, and event-loop dispatch.
+ * parity, partial-parity delta computation, CRC32C (bloom key, sector
+ * and stripe-unit sizes), metadata entry encode/decode, latency
+ * histogram insertion, and event-loop dispatch.
  *
  * `--host-baseline <path>` additionally writes the per-kernel results
  * (ns/op and bytes/s) as a bench-gate JSON with wide, report-only
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "raizn/metadata.h"
@@ -71,6 +73,42 @@ BM_ParityDelta4K(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ParityDelta4K);
+
+/// CRC32C over the first `len` bytes of a run-time pattern, chained
+/// so each iteration depends on the last.
+void
+run_crc32c(benchmark::State &state, size_t len)
+{
+    auto bytes = pattern_data(16, 3);
+    uint32_t crc = 0;
+    for (auto _ : state) {
+        crc = crc32c(bytes.data(), len, crc);
+        benchmark::DoNotOptimize(crc);
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(len));
+}
+
+void
+BM_Crc32c16(benchmark::State &state)
+{
+    run_crc32c(state, 16); // a bloom filter key
+}
+BENCHMARK(BM_Crc32c16);
+
+void
+BM_Crc32c4K(benchmark::State &state)
+{
+    run_crc32c(state, 4 * kKiB); // one sector of the CRC catalog
+}
+BENCHMARK(BM_Crc32c4K);
+
+void
+BM_Crc32c64K(benchmark::State &state)
+{
+    run_crc32c(state, 64 * kKiB);
+}
+BENCHMARK(BM_Crc32c64K);
 
 void
 BM_MdEntryEncode(benchmark::State &state)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "common/logging.h"
 #include "sim/event_loop.h"
@@ -45,6 +46,7 @@ MdManager::cause_of(MdZoneRole role, MdType type)
 Status
 MdManager::format_device(uint32_t dev)
 {
+    flush_parked(dev);
     DevState &st = dev_state_[dev];
     st = DevState{};
     st.wp.assign(layout_->md_zones(), 0);
@@ -133,8 +135,7 @@ MdManager::gc_switch(uint32_t dev, MdZoneRole role, StatusCb done)
     uint32_t role_idx = static_cast<uint32_t>(role);
     int old_zone = st.role_zone[role_idx];
     assert(old_zone >= 0);
-    if (st.swap.empty())
-        RAIZN_PANIC("metadata GC: no swap zone available");
+    assert(!st.swap.empty()); // try_place parks instead
     gc_runs_++;
     uint32_t new_zone = st.swap.front();
     st.swap.erase(st.swap.begin());
@@ -162,6 +163,7 @@ MdManager::gc_switch(uint32_t dev, MdZoneRole role, StatusCb done)
         if (--*remaining > 0)
             return;
         if (!first_error->is_ok()) {
+            drain_parked(dev);
             done(*first_error);
             return;
         }
@@ -177,6 +179,7 @@ MdManager::gc_switch(uint32_t dev, MdZoneRole role, StatusCb done)
                     dev_state_[dev].wp[old_zone_u] = 0;
                     dev_state_[dev].swap.push_back(old_zone_u);
                 }
+                drain_parked(dev);
                 done(r.status);
             });
     };
@@ -195,9 +198,64 @@ MdManager::gc_switch(uint32_t dev, MdZoneRole role, StatusCb done)
     }
 }
 
+bool
+MdManager::try_place(uint32_t dev, Pending &p)
+{
+    DevState &st = dev_state_[dev];
+    uint32_t role_idx = static_cast<uint32_t>(p.role);
+    uint64_t sectors = p.bytes.size() / kSectorSize;
+    auto zone = static_cast<uint32_t>(st.role_zone[role_idx]);
+    if (st.wp[zone] + sectors > md_zone_cap()) {
+        if (st.swap.empty())
+            return false;
+        // Out of space: switch to a swap zone, then append there.
+        gc_switch(dev, p.role, [](Status s) {
+            if (!s.is_ok())
+                LOG_WARN("metadata GC failed: %s", s.to_string().c_str());
+        });
+        zone = static_cast<uint32_t>(st.role_zone[role_idx]);
+        if (st.wp[zone] + sectors > md_zone_cap())
+            RAIZN_PANIC("metadata entry larger than metadata zone");
+    }
+    if (p.placed)
+        p.placed(md_zone_pba(zone) + st.wp[zone]);
+    do_append(dev, zone, std::move(p.bytes), p.durable, p.cause,
+              std::move(p.cb));
+    return true;
+}
+
+void
+MdManager::drain_parked(uint32_t dev)
+{
+    if (devs_[dev]->failed()) {
+        flush_parked(dev);
+        return;
+    }
+    // Front-first, stopping at the first entry that still cannot be
+    // placed: re-queueing it behind later ones could starve it forever.
+    std::deque<Pending> &parked = dev_state_[dev].parked;
+    while (!parked.empty()) {
+        Pending p = std::move(parked.front());
+        parked.pop_front();
+        if (!try_place(dev, p)) {
+            parked.push_front(std::move(p));
+            return;
+        }
+    }
+}
+
+void
+MdManager::flush_parked(uint32_t dev)
+{
+    for (Pending &p : std::exchange(dev_state_[dev].parked, {})) {
+        loop_->schedule_after(1,
+                              [cb = std::move(p.cb)] { cb(Status::ok()); });
+    }
+}
+
 void
 MdManager::append(uint32_t dev, MdZoneRole role, MdAppend entry,
-                  bool durable, StatusCb cb)
+                  bool durable, StatusCb cb, PlacedCb placed)
 {
     assert(dev < devs_.size());
     assert(role == MdZoneRole::kGeneral || role == MdZoneRole::kParityLog);
@@ -212,24 +270,14 @@ MdManager::append(uint32_t dev, MdZoneRole role, MdAppend entry,
         loop_->schedule_after(1, [cb = std::move(cb)] { cb(Status::ok()); });
         return;
     }
-    std::vector<uint8_t> bytes = encode(entry);
-    uint64_t sectors = bytes.size() / kSectorSize;
-    int zone_idx = st.role_zone[role_idx];
-    assert(zone_idx >= 0);
-    if (st.wp[static_cast<uint32_t>(zone_idx)] + sectors > md_zone_cap()) {
-        // Out of space: switch to a swap zone, then append there.
-        gc_switch(dev, role, [](Status s) {
-            if (!s.is_ok())
-                LOG_WARN("metadata GC failed: %s", s.to_string().c_str());
-        });
-        zone_idx = st.role_zone[role_idx];
-        if (st.wp[static_cast<uint32_t>(zone_idx)] + sectors >
-            md_zone_cap()) {
-            RAIZN_PANIC("metadata entry larger than metadata zone");
-        }
-    }
-    do_append(dev, static_cast<uint32_t>(zone_idx), std::move(bytes),
-              durable, cause_of(role, entry.header.type), std::move(cb));
+    Pending p{role, encode(entry), durable,
+              cause_of(role, entry.header.type), std::move(cb),
+              std::move(placed)};
+    bool role_waiting = std::any_of(
+        st.parked.begin(), st.parked.end(),
+        [role](const Pending &q) { return q.role == role; });
+    if (role_waiting || !try_place(dev, p))
+        st.parked.push_back(std::move(p));
 }
 
 Result<uint32_t>
@@ -249,6 +297,7 @@ MdManager::return_swap(uint32_t dev, uint32_t idx)
     DevState &st = dev_state_[dev];
     st.wp[idx] = 0;
     st.swap.push_back(idx);
+    drain_parked(dev);
 }
 
 Result<std::vector<MdManager::DeviceLog>>

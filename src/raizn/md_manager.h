@@ -12,10 +12,18 @@
  * writes a role record with a higher epoch, checkpoints the currently
  * valid in-memory metadata (entries flagged as checkpointed), and
  * resets the old zone back into the swap pool (Fig. 4).
+ *
+ * An append whose role zone is full while the swap pool is empty (the
+ * only swap zone is still being recycled by the other role's GC, or is
+ * lent out by borrow_swap) is parked in a per-device FIFO. Parked
+ * appends are placed front-first whenever a zone returns to the pool;
+ * an append to a role that already has a parked entry is parked behind
+ * it, so each log keeps its append order.
  */
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -37,6 +45,9 @@ struct MdAppend {
 };
 
 using StatusCb = std::function<void(Status)>;
+/// Receives the device LBA of an entry's header sector once the entry
+/// has its slot in the log.
+using PlacedCb = std::function<void(uint64_t pba)>;
 
 class MdManager
 {
@@ -78,10 +89,15 @@ class MdManager
      * Appends one metadata entry to the `role` log of device `dev`.
      * `durable` forces FUA so the entry survives power loss at
      * completion (zone reset logs, rebuild WAL). Triggers metadata GC
-     * transparently when the active zone is out of space.
+     * transparently when the active zone is out of space, and waits
+     * (parks) when no swap zone is free. `placed`, if set, is called
+     * once with the header sector's device LBA when the entry gets its
+     * slot: before append() returns, or later if the append was parked.
+     * It is not called for a device whose metadata is moot (failed or
+     * unformatted).
      */
     void append(uint32_t dev, MdZoneRole role, MdAppend entry,
-                bool durable, StatusCb cb);
+                bool durable, StatusCb cb, PlacedCb placed = nullptr);
 
     /// Per-device replay log recovered by scan().
     struct DeviceLog {
@@ -98,18 +114,25 @@ class MdManager
      */
     Result<std::vector<DeviceLog>> scan();
 
-    /// Device LBA the next append to (dev, role) will land at
-    /// (metadata-zone relative position is wp tracking only).
+    /// Device LBA of the active (dev, role) zone's write pointer. The
+    /// next append lands there only if it fits and nothing is parked;
+    /// use append()'s `placed` callback for where an entry landed.
     uint64_t active_zone_wp(uint32_t dev, MdZoneRole role) const;
 
     /**
      * Lends an empty swap metadata zone (its index) to the caller for
      * a physical-zone rebuild; return it with return_swap once reset.
+     * A log that fills meanwhile parks its appends until the return.
      */
     Result<uint32_t> borrow_swap(uint32_t dev);
     void return_swap(uint32_t dev, uint32_t idx);
 
     uint64_t gc_runs() const { return gc_runs_; }
+    /// Appends waiting for a swap zone on `dev`.
+    size_t parked(uint32_t dev) const
+    {
+        return dev_state_[dev].parked.size();
+    }
 
     /**
      * Byte-provenance of one metadata append, from its log role and
@@ -132,6 +155,16 @@ class MdManager
   private:
     static constexpr uint32_t kNumRoles = 2; // general, parity log
 
+    /// An encoded append, waiting in DevState::parked or being placed.
+    struct Pending {
+        MdZoneRole role;
+        std::vector<uint8_t> bytes;
+        bool durable;
+        obs::Cause cause;
+        StatusCb cb;
+        PlacedCb placed;
+    };
+
     struct DevState {
         /// md-zone index (0-based) bound to each role; -1 = unbound.
         int role_zone[kNumRoles] = {-1, -1};
@@ -139,6 +172,8 @@ class MdManager
         std::vector<uint64_t> wp; ///< tracked sectors used per md zone
         std::vector<uint32_t> swap; ///< free md-zone indices
         uint64_t sectors_written = 0;
+        /// Appends waiting for a swap zone, in arrival order.
+        std::deque<Pending> parked;
     };
 
     uint64_t md_zone_cap() const { return layout_->phys_zone_cap(); }
@@ -152,6 +187,15 @@ class MdManager
                    obs::Cause cause, StatusCb cb);
     /// Switches (dev, role) to a fresh swap zone and checkpoints.
     void gc_switch(uint32_t dev, MdZoneRole role, StatusCb done);
+    /// Appends `p` to its role's log, switching to a swap zone when the
+    /// active one is full. Returns false, leaving `p` untouched, when
+    /// the zone is full and the swap pool is empty.
+    bool try_place(uint32_t dev, Pending &p);
+    /// Places parked appends front-first until one still cannot be.
+    void drain_parked(uint32_t dev);
+    /// Completes every parked append with ok (metadata on a failed or
+    /// replaced device is moot).
+    void flush_parked(uint32_t dev);
     std::vector<uint8_t> encode(const MdAppend &entry) const;
 
     /// Submits via the retrier when one is attached.

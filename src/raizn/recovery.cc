@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <set>
 
 #include "common/logging.h"
@@ -1060,15 +1062,17 @@ RaiznVolume::rebuild_physical_zone(uint32_t dev, uint32_t zone,
         app.header.generation = gen_.get(zone);
         app.inline_data = encode_zone_rebuild(
             {zone, dev, phase, swap_idx, image});
-        Status out;
-        bool done = false;
+        // Shared: an append parked behind the swap zone this rebuild
+        // holds completes only after this frame has returned.
+        auto out = std::make_shared<std::optional<Status>>();
         md_->append(dev, MdZoneRole::kGeneral, std::move(app), true,
-                    [&](Status s) {
-                        out = s;
-                        done = true;
-                    });
-        loop_->run_until_pred([&] { return done; });
-        return out;
+                    [out](Status s) { *out = s; });
+        if (!loop_->run_until_pred([&] { return out->has_value(); })) {
+            return Status(StatusCode::kNoSpace,
+                          "zone rebuild: metadata log full while its "
+                          "swap zone is lent out");
+        }
+        return **out;
     };
 
     uint32_t swap_idx = 0;

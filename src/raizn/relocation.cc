@@ -32,6 +32,14 @@ RelocationMap::find(uint64_t lba) const
     return nullptr;
 }
 
+void
+RelocationMap::set_md_pba(uint64_t lba, uint32_t dev, uint64_t md_pba)
+{
+    auto it = map_.find(lba);
+    if (it != map_.end() && it->second.dev == dev)
+        it->second.md_pba = md_pba;
+}
+
 size_t
 RelocationMap::count_for_dev(uint32_t dev) const
 {

@@ -49,6 +49,10 @@ class RelocationMap
      */
     const Relocation *find(uint64_t lba) const;
 
+    /// Points the relocation starting at `lba` on device `dev` at
+    /// `md_pba`; a no-op if it was dropped or replaced since.
+    void set_md_pba(uint64_t lba, uint32_t dev, uint64_t md_pba);
+
     /// Number of relocated ranges held for device `dev`.
     size_t count_for_dev(uint32_t dev) const;
     size_t size() const { return map_.size(); }

@@ -309,22 +309,24 @@ RaiznVolume::scrub_repair_unit(uint32_t zone, uint64_t stripe, uint32_t k,
     app.inline_data.assign(8, 0);
     app.payload = data;
 
-    uint64_t md_pba = md_->active_zone_wp(dev, MdZoneRole::kGeneral);
     Relocation rel;
     rel.lba = lba;
     rel.nsectors = su;
     rel.dev = dev;
-    rel.md_pba = md_pba + 1; // payload follows the header sector
+    rel.md_pba = 0; // set by reloc_placed
     rel.cached = std::move(data);
     reloc_.insert(std::move(rel));
 
-    md_->append(dev, MdZoneRole::kGeneral, std::move(app),
-                /*durable=*/true, [](Status s) {
-                    if (!s.is_ok()) {
-                        LOG_WARN("scrub repair persist failed: %s",
-                                 s.to_string().c_str());
-                    }
-                });
+    md_->append(
+        dev, MdZoneRole::kGeneral, std::move(app),
+        /*durable=*/true,
+        [](Status s) {
+            if (!s.is_ok()) {
+                LOG_WARN("scrub repair persist failed: %s",
+                         s.to_string().c_str());
+            }
+        },
+        reloc_placed(lba, dev, false));
 }
 
 void
@@ -351,22 +353,24 @@ RaiznVolume::scrub_repair_parity(uint32_t zone, uint64_t stripe,
     app.inline_data[4] = 1; // parity marker
     app.payload = parity;
 
-    uint64_t md_pba = md_->active_zone_wp(dev, MdZoneRole::kGeneral);
     Relocation rel;
     rel.lba = app.header.start_lba;
     rel.nsectors = cfg_.su_sectors;
     rel.dev = dev;
-    rel.md_pba = md_pba + 1;
+    rel.md_pba = 0; // set by reloc_placed
     rel.cached = std::move(parity);
     parity_reloc_[zs_key(zone, stripe)] = std::move(rel);
 
-    md_->append(dev, MdZoneRole::kGeneral, std::move(app),
-                /*durable=*/true, [](Status s) {
-                    if (!s.is_ok()) {
-                        LOG_WARN("scrub parity persist failed: %s",
-                                 s.to_string().c_str());
-                    }
-                });
+    md_->append(
+        dev, MdZoneRole::kGeneral, std::move(app),
+        /*durable=*/true,
+        [](Status s) {
+            if (!s.is_ok()) {
+                LOG_WARN("scrub parity persist failed: %s",
+                         s.to_string().c_str());
+            }
+        },
+        reloc_placed(zs_key(zone, stripe), dev, true));
 }
 
 Status

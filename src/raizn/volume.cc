@@ -578,12 +578,11 @@ RaiznVolume::submit_parity_subio(uint32_t zone, uint64_t stripe,
             payload.assign(
                 static_cast<size_t>(cfg_.su_sectors) * kSectorSize, 0);
         }
-        uint64_t md_pba = md_->active_zone_wp(dev, MdZoneRole::kGeneral);
         Relocation rel;
         rel.lba = app.header.start_lba;
         rel.nsectors = cfg_.su_sectors;
         rel.dev = dev;
-        rel.md_pba = md_pba + 1; // payload follows the header sector
+        rel.md_pba = 0; // set by reloc_placed
         rel.cached = std::move(parity);
         parity_reloc_[zs_key(zone, stripe)] = std::move(rel);
         app.payload = std::move(payload);
@@ -596,7 +595,8 @@ RaiznVolume::submit_parity_subio(uint32_t zone, uint64_t stripe,
                         if (trace_ != nullptr && tok != 0)
                             trace_->end_span(tok, loop_->now());
                         subio_done(ctx, s);
-                    });
+                    },
+                    reloc_placed(zs_key(zone, stripe), dev, true));
         stats_.relocated_writes++;
         return;
     }
@@ -707,12 +707,11 @@ RaiznVolume::relocate_write(uint32_t dev, uint32_t zone, uint64_t lba,
     }
     app.payload = std::move(payload);
 
-    uint64_t md_pba = md_->active_zone_wp(dev, MdZoneRole::kGeneral);
     Relocation rel;
     rel.lba = lba;
     rel.nsectors = nsectors;
     rel.dev = dev;
-    rel.md_pba = md_pba + 1;
+    rel.md_pba = 0; // set by reloc_placed
     rel.cached = std::move(data); // relocations are cached (§5.2)
     reloc_.insert(std::move(rel));
 
@@ -726,7 +725,24 @@ RaiznVolume::relocate_write(uint32_t dev, uint32_t zone, uint64_t lba,
                     if (trace_ != nullptr && tok != 0)
                         trace_->end_span(tok, loop_->now());
                     subio_done(ctx, s);
-                });
+                },
+                reloc_placed(lba, dev, false));
+}
+
+PlacedCb
+RaiznVolume::reloc_placed(uint64_t lba, uint32_t dev, bool parity)
+{
+    return [this, lba, dev, parity](uint64_t pba) {
+        // Appends of one log are placed in order, so the last one
+        // placed for a key is also the relocation the map holds.
+        if (!parity) {
+            reloc_.set_md_pba(lba, dev, pba + 1);
+            return;
+        }
+        auto it = parity_reloc_.find(lba);
+        if (it != parity_reloc_.end() && it->second.dev == dev)
+            it->second.md_pba = pba + 1;
+    };
 }
 
 void

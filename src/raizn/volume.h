@@ -355,6 +355,11 @@ class RaiznVolume : public ZonedArray
     void relocate_write(uint32_t dev, uint32_t zone, uint64_t lba,
                         std::vector<uint8_t> data, uint32_t nsectors,
                         std::shared_ptr<WriteCtx> ctx);
+    /// `placed` callback for a relocated stripe unit's metadata
+    /// append: points the data relocation at `lba` (or, with `parity`,
+    /// the parity relocation keyed `lba`) on `dev` at the entry's
+    /// payload, one sector past its header.
+    PlacedCb reloc_placed(uint64_t lba, uint32_t dev, bool parity);
     void subio_done(std::shared_ptr<WriteCtx> ctx, Status status);
     void finish_write(std::shared_ptr<WriteCtx> ctx);
     void start_fua_flush_phase(std::shared_ptr<WriteCtx> ctx);

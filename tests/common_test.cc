@@ -189,6 +189,94 @@ TEST(Crc32Test, DetectsBitFlip)
     EXPECT_NE(before, crc32c(buf.data(), buf.size()));
 }
 
+/// Seeds for the kernel comparison: a fresh CRC, the bloom filter's
+/// seed, and two arbitrary values.
+std::vector<uint32_t>
+crc_seeds()
+{
+    Rng rng(0xc0ffee);
+    return {0u, 0x9747b28cu, static_cast<uint32_t>(rng.next()),
+            static_cast<uint32_t>(rng.next())};
+}
+
+std::vector<uint8_t>
+random_bytes(size_t n, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<uint8_t> out(n);
+    for (auto &b : out)
+        b = static_cast<uint8_t>(rng.next());
+    return out;
+}
+
+TEST(Crc32Test, DispatchedMatchesPortableEveryShortLength)
+{
+    // Every length through three lanes plus 64 bytes covers the
+    // single-stream path, the first interleaved block and the u64/u8
+    // tails behind it, at every start offset; the seed rotates.
+#if defined(__x86_64__)
+    EXPECT_EQ(detail::crc32c_hw_active(),
+              static_cast<bool>(__builtin_cpu_supports("sse4.2")));
+#endif
+    const size_t max_len = 3 * detail::kCrc32cLane + 64;
+    auto buf = random_bytes(max_len + 8, 1);
+    auto seeds = crc_seeds();
+    for (size_t len = 0; len <= max_len; ++len) {
+        for (size_t off = 0; off < 8; ++off) {
+            const uint8_t *p = buf.data() + off;
+            uint32_t seed = seeds[(len + off) % seeds.size()];
+            ASSERT_EQ(crc32c(p, len, seed),
+                      detail::crc32c_portable(p, len, seed))
+                << "len " << len << " offset " << off << " seed " << seed;
+        }
+    }
+}
+
+TEST(Crc32Test, DispatchedMatchesPortableLongBuffers)
+{
+    const size_t lane = detail::kCrc32cLane;
+    auto buf = random_bytes(64 * kKiB + 8, 2);
+    std::vector<size_t> lens;
+    for (size_t len = 3 * lane - 1; len <= 64 * kKiB; len += 997)
+        lens.push_back(len);
+    for (size_t len : {size_t{4096}, 6 * lane, 6 * lane + 7,
+                       size_t{64 * kKiB}})
+        lens.push_back(len);
+    for (size_t off = 0; off < 8; ++off) {
+        for (uint32_t seed : crc_seeds()) {
+            for (size_t len : lens) {
+                const uint8_t *p = buf.data() + off;
+                ASSERT_EQ(crc32c(p, len, seed),
+                          detail::crc32c_portable(p, len, seed))
+                    << "len " << len << " offset " << off << " seed "
+                    << seed;
+            }
+        }
+    }
+}
+
+TEST(Crc32Test, SplitAndChainEqualsWholeBuffer)
+{
+    auto buf = random_bytes(64 * kKiB, 3);
+    Rng rng(4);
+    for (uint32_t seed : crc_seeds()) {
+        uint32_t whole = crc32c(buf.data(), buf.size(), seed);
+        ASSERT_EQ(whole,
+                  detail::crc32c_portable(buf.data(), buf.size(), seed));
+        for (int i = 0; i < 16; ++i) {
+            size_t cut = rng.next_below(buf.size() + 1);
+            uint32_t part = crc32c(buf.data(), cut, seed);
+            part = crc32c(buf.data() + cut, buf.size() - cut, part);
+            EXPECT_EQ(part, whole) << "cut " << cut << " seed " << seed;
+        }
+    }
+}
+
+TEST(Crc32Test, PortableKnownVector)
+{
+    EXPECT_EQ(detail::crc32c_portable("123456789", 9), 0xE3069283u);
+}
+
 TEST(BitmapTest, SetTestClear)
 {
     Bitmap bm(130);

@@ -17,12 +17,14 @@ namespace {
 class MdManagerTest : public ::testing::Test
 {
   protected:
+    void SetUp() override { build(4); } // extra swap zone
+
     void
-    SetUp() override
+    build(uint32_t md_zones)
     {
         cfg_.num_devices = 3;
         cfg_.su_sectors = 4;
-        cfg_.md_zones_per_device = 4; // extra swap zone
+        cfg_.md_zones_per_device = md_zones;
         for (int i = 0; i < 3; ++i) {
             ZnsDeviceConfig dc;
             dc.nzones = 8;
@@ -221,6 +223,156 @@ TEST_F(MdManagerTest, ScanSurvivesPowerCutDuringGc)
                });
     loop2.run_until_pred([&] { return done; });
     EXPECT_TRUE(out.is_ok()) << out.to_string();
+}
+
+/// The shipped default: per device one general zone, one parity-log
+/// zone and a single swap zone.
+class MdManagerOneSwapTest : public MdManagerTest
+{
+  protected:
+    void
+    SetUp() override
+    {
+        build(3);
+        md_->set_snapshot_provider([this](uint32_t, MdZoneRole role) {
+            std::vector<MdAppend> out;
+            for (uint64_t seq : live_[static_cast<uint32_t>(role)])
+                out.push_back(entry(role, seq));
+            return out;
+        });
+    }
+
+    /// A one-sector entry whose generation is its sequence number.
+    static MdAppend
+    entry(MdZoneRole role, uint64_t seq)
+    {
+        MdAppend app;
+        app.header.type = role == MdZoneRole::kGeneral
+            ? MdType::kZoneResetLog
+            : MdType::kPartialParity;
+        app.header.generation = seq;
+        app.inline_data.assign(12, 0);
+        return app;
+    }
+
+    /// Appends one-sector entries to (dev 0, role) until its zone is
+    /// full to the last sector; every fifth is marked live, so the GC
+    /// checkpoint carries it.
+    void
+    fill_to_brim(MdZoneRole role)
+    {
+        uint64_t zone_end = layout_->md_zone_start(static_cast<uint32_t>(
+                                role == MdZoneRole::kGeneral ? 0 : 1)) +
+            layout_->phys_zone_cap();
+        while (md_->active_zone_wp(0, role) < zone_end) {
+            uint64_t seq = next_seq_++;
+            if (seq % 5 == 0)
+                live_[static_cast<uint32_t>(role)].push_back(seq);
+            ASSERT_TRUE(append_sync(0, role, entry(role, seq)).is_ok());
+        }
+        ASSERT_EQ(md_->active_zone_wp(0, role), zone_end);
+    }
+
+    /// Generations replayed by scan() on device 0 for entries of
+    /// `role`'s type, in replay order.
+    std::vector<uint64_t>
+    replayed(MdZoneRole role)
+    {
+        auto logs = md_->scan();
+        EXPECT_TRUE(logs.is_ok());
+        std::vector<uint64_t> out;
+        if (!logs.is_ok())
+            return out;
+        for (const MdEntry &e : logs.value()[0].entries) {
+            if (e.header.type == entry(role, 0).header.type)
+                out.push_back(e.header.generation);
+        }
+        return out;
+    }
+
+    std::vector<uint64_t> live_[2];
+    uint64_t next_seq_ = 1;
+};
+
+TEST_F(MdManagerOneSwapTest, BothLogsFullWaitForTheOneSwapZone)
+{
+    fill_to_brim(MdZoneRole::kGeneral);
+    fill_to_brim(MdZoneRole::kParityLog);
+    ASSERT_EQ(md_->gc_runs(), 0u);
+
+    // One append per role before the loop runs: the general log takes
+    // the only swap zone, so the parity log must wait until the general
+    // log's old zone is reset back into the pool.
+    Status st[2] = {Status(StatusCode::kIoError, "pending"),
+                    Status(StatusCode::kIoError, "pending")};
+    uint64_t seq[2];
+    for (MdZoneRole role : {MdZoneRole::kGeneral, MdZoneRole::kParityLog}) {
+        uint32_t r = static_cast<uint32_t>(role);
+        seq[r] = next_seq_++;
+        md_->append(0, role, entry(role, seq[r]), /*durable=*/true,
+                    [&st, r](Status s) { st[r] = s; });
+    }
+    EXPECT_EQ(md_->parked(0), 1u);
+    loop_.run();
+    EXPECT_TRUE(st[0].is_ok()) << st[0].to_string();
+    EXPECT_TRUE(st[1].is_ok()) << st[1].to_string();
+    EXPECT_EQ(md_->parked(0), 0u);
+    EXPECT_EQ(md_->gc_runs(), 2u);
+
+    // Each log replays its checkpoint, then the new entry: once each,
+    // in order, and nothing from the recycled zones.
+    for (MdZoneRole role : {MdZoneRole::kGeneral, MdZoneRole::kParityLog}) {
+        uint32_t r = static_cast<uint32_t>(role);
+        std::vector<uint64_t> want = live_[r];
+        want.push_back(seq[r]);
+        EXPECT_EQ(replayed(role), want) << "role " << r;
+    }
+}
+
+TEST_F(MdManagerOneSwapTest, BorrowedSwapParksAppendsUntilReturned)
+{
+    auto sw = md_->borrow_swap(0);
+    ASSERT_TRUE(sw.is_ok());
+    fill_to_brim(MdZoneRole::kGeneral);
+
+    // The log is full and its swap zone is lent out: appends wait, in
+    // order, and get no slot until the zone comes back.
+    std::vector<uint64_t> done_seqs;
+    std::vector<uint64_t> placed;
+    std::vector<uint64_t> seqs;
+    for (int i = 0; i < 3; ++i) {
+        uint64_t seq = next_seq_++;
+        seqs.push_back(seq);
+        md_->append(
+            0, MdZoneRole::kGeneral, entry(MdZoneRole::kGeneral, seq),
+            /*durable=*/false,
+            [&done_seqs, seq](Status s) {
+                EXPECT_TRUE(s.is_ok()) << s.to_string();
+                done_seqs.push_back(seq);
+            },
+            [&placed](uint64_t pba) { placed.push_back(pba); });
+    }
+    loop_.run();
+    EXPECT_TRUE(done_seqs.empty());
+    EXPECT_TRUE(placed.empty());
+    EXPECT_EQ(md_->parked(0), 3u);
+    EXPECT_EQ(md_->gc_runs(), 0u);
+
+    md_->return_swap(0, sw.value());
+    loop_.run();
+    EXPECT_EQ(done_seqs, seqs);
+    EXPECT_EQ(md_->parked(0), 0u);
+    EXPECT_EQ(md_->gc_runs(), 1u);
+    // The entries landed in the returned zone, behind its role record
+    // and the checkpoint.
+    uint64_t first = layout_->md_zone_start(sw.value()) + 1 +
+        live_[0].size();
+    EXPECT_EQ(placed,
+              (std::vector<uint64_t>{first, first + 1, first + 2}));
+
+    std::vector<uint64_t> want = live_[0];
+    want.insert(want.end(), seqs.begin(), seqs.end());
+    EXPECT_EQ(replayed(MdZoneRole::kGeneral), want);
 }
 
 } // namespace
