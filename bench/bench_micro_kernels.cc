@@ -1,9 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks of RAIZN's hot CPU kernels: XOR
- * parity, partial-parity delta computation, CRC32C (bloom key, sector
- * and stripe-unit sizes), metadata entry encode/decode, latency
- * histogram insertion, and event-loop dispatch.
+ * parity, GF(256) Q-parity accumulate and two-failure solve, partial-
+ * parity delta computation, CRC32C (bloom key, sector and stripe-unit
+ * sizes), metadata entry encode/decode, latency histogram insertion,
+ * and event-loop dispatch.
  *
  * `--host-baseline <path>` additionally writes the per-kernel results
  * (ns/op and bytes/s) as a bench-gate JSON with wide, report-only
@@ -18,9 +19,11 @@
 #include <string>
 #include <vector>
 
+#include "array/gf256.h"
 #include "common/crc32.h"
 #include "common/histogram.h"
 #include "common/rng.h"
+#include "common/xor.h"
 #include "raizn/metadata.h"
 #include "raizn/stripe_buffer.h"
 #include "sim/event_loop.h"
@@ -30,18 +33,67 @@ namespace raizn {
 namespace {
 
 void
-BM_XorParity64K(benchmark::State &state)
+BM_Xor64K(benchmark::State &state)
 {
     std::vector<uint8_t> dst(64 * kKiB, 0xaa);
     std::vector<uint8_t> src(64 * kKiB, 0x55);
     for (auto _ : state) {
         xor_bytes(dst.data(), src.data(), dst.size());
         benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
     }
     state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(dst.size()));
 }
-BENCHMARK(BM_XorParity64K);
+BENCHMARK(BM_Xor64K);
+
+/// acc ^= g^3 * src over `len` bytes of run-time patterns.
+void
+run_gf_accumulate(benchmark::State &state, size_t len)
+{
+    auto src = pattern_data(len / kSectorSize, 5);
+    auto acc = pattern_data(len / kSectorSize, 6);
+    for (auto _ : state) {
+        gf256::accumulate(acc.data(), src.data(), len, 3);
+        benchmark::DoNotOptimize(acc.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(len));
+}
+
+void
+BM_GfAccumulate4K(benchmark::State &state)
+{
+    run_gf_accumulate(state, 4 * kKiB);
+}
+BENCHMARK(BM_GfAccumulate4K);
+
+void
+BM_GfAccumulate64K(benchmark::State &state)
+{
+    run_gf_accumulate(state, 64 * kKiB); // one 16-sector stripe unit
+}
+BENCHMARK(BM_GfAccumulate64K);
+
+void
+BM_GfSolveTwo64K(benchmark::State &state)
+{
+    const size_t len = 64 * kKiB;
+    auto p = pattern_data(16, 7);
+    auto q = pattern_data(16, 8);
+    std::vector<uint8_t> dx(len), dy(len);
+    for (auto _ : state) {
+        gf256::solve_two(dx.data(), dy.data(), p.data(), q.data(), len, 1,
+                         3);
+        benchmark::DoNotOptimize(dx.data());
+        benchmark::DoNotOptimize(dy.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(len));
+}
+BENCHMARK(BM_GfSolveTwo64K);
 
 void
 BM_FullStripeParity(benchmark::State &state)

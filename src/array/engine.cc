@@ -13,11 +13,11 @@
 #include "array/gf256.h"
 #include "common/crc32.h"
 #include "common/logging.h"
+#include "common/xor.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/prof/prof.h"
 #include "obs/trace.h"
-#include "raizn/stripe_buffer.h"
 #include "sim/event_loop.h"
 
 namespace raizn {
@@ -1769,34 +1769,32 @@ ZonedEngine::reconstruct_chunk(uint32_t zone, uint64_t stripe, uint32_t u,
             (*shared_cb)(rc->status, {});
             return;
         }
-        std::vector<uint8_t> res(bytes, 0);
+        // rc is this completion's alone: P and Q are reduced in place.
+        std::vector<uint8_t> res;
         if (plan == 'P') {
-            xor_bytes(res.data(), rc->p.data(), bytes);
+            res = std::move(rc->p);
             for (auto &kv : rc->data)
                 xor_bytes(res.data(), kv.second.data(), bytes);
         } else if (plan == 'Q') {
-            std::vector<uint8_t> acc(bytes, 0);
+            // D_u = g^-u * (Q ^ sum over the other units of g^v * D_v).
             for (auto &kv : rc->data)
-                gf256::accumulate(acc.data(), kv.second.data(), bytes,
+                gf256::accumulate(rc->q.data(), kv.second.data(), bytes,
                                   kv.first);
-            uint8_t coeff = gf256::exp2(255u - (u % 255u));
-            for (size_t i = 0; i < bytes; ++i)
-                res[i] = gf256::mul(
-                    coeff, static_cast<uint8_t>(rc->q[i] ^ acc[i]));
+            res.assign(bytes, 0);
+            gf256::accumulate(res.data(), rc->q.data(), bytes,
+                              255u - (u % 255u));
         } else {
             uint32_t x = std::min(missing[0], missing[1]);
             uint32_t y = std::max(missing[0], missing[1]);
-            std::vector<uint8_t> pp = rc->p;
-            std::vector<uint8_t> qq = rc->q;
             for (auto &kv : rc->data) {
-                xor_bytes(pp.data(), kv.second.data(), bytes);
-                gf256::accumulate(qq.data(), kv.second.data(), bytes,
+                xor_bytes(rc->p.data(), kv.second.data(), bytes);
+                gf256::accumulate(rc->q.data(), kv.second.data(), bytes,
                                   kv.first);
             }
-            std::vector<uint8_t> dx(bytes), dy(bytes);
-            gf256::solve_two(dx.data(), dy.data(), pp.data(), qq.data(),
-                             bytes, x, y);
-            res = u == x ? std::move(dx) : std::move(dy);
+            res.resize(bytes);
+            gf256::solve_two(u == x ? res.data() : nullptr,
+                             u == x ? nullptr : res.data(), rc->p.data(),
+                             rc->q.data(), bytes, x, y);
         }
         uint64_t crc_off = stripe * su * static_cast<uint64_t>(units) +
                            static_cast<uint64_t>(u) * su + o;

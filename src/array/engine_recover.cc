@@ -12,7 +12,7 @@
 #include "array/gf256.h"
 #include "common/crc32.h"
 #include "common/logging.h"
-#include "raizn/stripe_buffer.h"
+#include "common/xor.h"
 #include "sim/event_loop.h"
 
 namespace raizn {

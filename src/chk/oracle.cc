@@ -6,7 +6,7 @@
 
 #include "array/engine.h"
 #include "common/logging.h"
-#include "raizn/stripe_buffer.h"
+#include "common/xor.h"
 #include "raizn/volume.h"
 #include "sim/event_loop.h"
 #include "zns/zns_device.h"

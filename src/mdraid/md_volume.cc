@@ -5,12 +5,13 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "common/xor.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/prof/prof.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
-#include "raizn/stripe_buffer.h" // xor_bytes, parity_byte_range
+#include "raizn/stripe_buffer.h" // parity_byte_range
 #include "sim/event_loop.h"
 #include "zns/conv_device.h"
 

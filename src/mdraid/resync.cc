@@ -9,9 +9,9 @@
 #include <map>
 
 #include "common/logging.h"
+#include "common/xor.h"
 #include "mdraid/md_volume.h"
 #include "obs/trace.h"
-#include "raizn/stripe_buffer.h" // xor_bytes
 #include "sim/event_loop.h"
 
 namespace raizn {

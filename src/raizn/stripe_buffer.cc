@@ -9,19 +9,6 @@
 namespace raizn {
 
 void
-xor_bytes(uint8_t *dst, const uint8_t *src, size_t n)
-{
-    // Word-wise main loop; compilers vectorize this readily.
-    size_t words = n / 8;
-    auto *d = reinterpret_cast<uint64_t *>(dst);
-    auto *s = reinterpret_cast<const uint64_t *>(src);
-    for (size_t i = 0; i < words; ++i)
-        d[i] ^= s[i];
-    for (size_t i = words * 8; i < n; ++i)
-        dst[i] ^= src[i];
-}
-
-void
 parity_byte_range(uint64_t s, uint64_t e, uint32_t su_sectors,
                   uint64_t *lo, uint64_t *hi)
 {

@@ -16,11 +16,9 @@
 #include <vector>
 
 #include "common/units.h"
+#include "common/xor.h"
 
 namespace raizn {
-
-/// XOR `n` bytes of `src` into `dst`.
-void xor_bytes(uint8_t *dst, const uint8_t *src, size_t n);
 
 /**
  * Affected parity byte range [lo, hi) for a write covering stripe

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for src/common: status, units, histogram, rng, crc32,
- * bitmap.
+ * xor, bitmap.
  */
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/units.h"
+#include "common/xor.h"
 
 namespace raizn {
 namespace {
@@ -275,6 +276,45 @@ TEST(Crc32Test, SplitAndChainEqualsWholeBuffer)
 TEST(Crc32Test, PortableKnownVector)
 {
     EXPECT_EQ(detail::crc32c_portable("123456789", 9), 0xE3069283u);
+}
+
+TEST(XorTest, Avx2ChosenWhenCpuHasIt)
+{
+#if defined(__x86_64__)
+    EXPECT_EQ(detail::xor_avx2_active(),
+              static_cast<bool>(__builtin_cpu_supports("avx2")));
+#else
+    EXPECT_FALSE(detail::xor_avx2_active());
+#endif
+}
+
+TEST(XorTest, DispatchedMatchesPortable)
+{
+    // Every length through 300 (the 128-byte block, 32-byte steps and
+    // the word/byte tail) at every source offset, the destination
+    // offset rotating; plus 64 KiB. Both sides evolve the same buffer,
+    // and each check covers 32 guard bytes past the call's range.
+    auto src = random_bytes(64 * kKiB + 64, 5);
+    auto got = random_bytes(64 * kKiB + 96, 6);
+    auto want = got;
+    for (size_t len = 0; len <= 300; ++len) {
+        for (size_t so = 0; so < 32; ++so) {
+            for (size_t doff : {so, (so * 7 + len) % 32}) {
+                xor_bytes(got.data() + doff, src.data() + so, len);
+                detail::xor_bytes_portable(want.data() + doff,
+                                           src.data() + so, len);
+                ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                                         doff + len + 32))
+                    << "len " << len << " src +" << so << " dst +" << doff;
+            }
+        }
+    }
+    for (size_t off = 0; off < 32; ++off) {
+        xor_bytes(got.data() + off, src.data() + 31 - off, 64 * kKiB);
+        detail::xor_bytes_portable(want.data() + off, src.data() + 31 - off,
+                                   64 * kKiB);
+        ASSERT_EQ(got, want) << "64 KiB at dst +" << off;
+    }
 }
 
 TEST(BitmapTest, SetTestClear)

@@ -9,9 +9,9 @@
 #include <memory>
 
 #include "common/rng.h"
+#include "common/xor.h"
 #include "fault/fault_device.h"
 #include "mdraid/md_volume.h"
-#include "raizn/stripe_buffer.h"
 #include "sim/event_loop.h"
 #include "zns/conv_device.h"
 
